@@ -18,6 +18,8 @@
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "storage/lock_word.h"
+#include "storage/partition_store.h"
+#include "storage/table.h"
 #include "txn/dependency_graph.h"
 
 namespace chiller {
@@ -31,6 +33,84 @@ void BM_LockWordAcquireRelease(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LockWordAcquireRelease);
+
+/// ycsb-shaped table (8 fields, ~2 buckets per record) for the storage rows.
+storage::TableSpec StorageBenchSpec(int64_t records) {
+  return storage::TableSpec{
+      .name = "bench", .id = 0, .num_fields = storage::kMaxFields,
+      .wire_bytes = 100,
+      .buckets_per_partition = static_cast<size_t>(2 * records)};
+}
+
+/// Loading a table of N records: slab growth plus bucket chaining.
+void BM_TableInsert(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const storage::Record rec(storage::kMaxFields, 100);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto t = std::make_unique<storage::Table>(StorageBenchSpec(n));
+    state.ResumeTiming();
+    for (int64_t k = 0; k < n; ++k) {
+      benchmark::DoNotOptimize(t->Insert(static_cast<Key>(k), rec));
+    }
+    state.PauseTiming();
+    t.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TableInsert)->Arg(10000)->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
+
+/// Point lookups in a loaded table of N records; range(1) = 1 probes keys
+/// that are present, 0 keys that are not.
+void BM_TableFind(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const bool hit = state.range(1) != 0;
+  storage::Table t(StorageBenchSpec(n));
+  for (int64_t k = 0; k < n; ++k) {
+    CHILLER_CHECK(t.Insert(static_cast<Key>(k),
+                           storage::Record(storage::kMaxFields, 100))
+                      .ok());
+  }
+  Rng rng(29);
+  std::vector<Key> keys(4096);
+  for (Key& k : keys) {
+    k = rng.Uniform(static_cast<uint64_t>(n)) + static_cast<Key>(hit ? 0 : n);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(t.Find(keys[i]));
+    i = (i + 1) % keys.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TableFind)->ArgNames({"records", "hit"})
+    ->Args({10000, 1})->Args({10000, 0})
+    ->Args({1000000, 1})->Args({1000000, 0});
+
+/// Destroying a loaded PartitionStore of N records — the per-store share
+/// of a scenario's teardown. Only the destruction is timed; the iteration
+/// count is fixed because each iteration first loads N records untimed.
+void BM_PartitionStoreTeardown(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const std::vector<storage::TableSpec> schema = {StorageBenchSpec(n)};
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto store = std::make_unique<storage::PartitionStore>(0, schema);
+    for (int64_t k = 0; k < n; ++k) {
+      CHILLER_CHECK(store
+                        ->Insert(RecordId{0, static_cast<Key>(k)},
+                                 storage::Record(storage::kMaxFields, 100))
+                        .ok());
+    }
+    state.ResumeTiming();
+    store.reset();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_PartitionStoreTeardown)->Arg(10000)->Arg(1000000)
+    ->Iterations(10)->Unit(benchmark::kMicrosecond);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
   sim::EventQueue q;

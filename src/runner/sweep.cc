@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -13,6 +14,11 @@
 
 #include "common/logging.h"
 #include "obs/trace_recorder.h"
+#include "storage/bucket.h"
+#include "workload/flight.h"
+#include "workload/instacart.h"
+#include "workload/tpcc/tpcc_schema.h"
+#include "workload/ycsb.h"
 
 namespace chiller::runner {
 
@@ -230,36 +236,47 @@ std::vector<StatusOr<ScenarioResult>> SweepExecutor::Run(
 }
 
 uint64_t EstimateFootprint(const ScenarioSpec& spec) {
-  // Every store keeps records as vectors of int64 fields plus bucket and
-  // index overhead; replicas multiply the whole database.
-  const uint64_t copies = spec.replication_degree;
-  constexpr uint64_t kPerRecordOverhead = 96;  // bucket entry + vector slack
-
+  // Every store (the primary and each replica of every partition) keeps
+  // its records inline in slab entries and one bucket per hash slot of
+  // every table. The bucket arrays are sized by the schema, not by the
+  // data, so they dominate small datasets such as ycsb's.
   uint64_t records = 0;
-  uint64_t bytes_per_record = 0;
+  std::vector<storage::TableSpec> schema;
   if (spec.workload == "tpcc" || spec.workload == "adaptive-tpcc") {
-    // Dominated by STOCK (100k rows/warehouse) and CUSTOMER (30k).
+    namespace tpcc = workload::tpcc;
     const uint64_t warehouses =
         spec.options.GetInt("num_warehouses", spec.partitions());
-    records = warehouses * 150000;
-    bytes_per_record = 330;
+    // Per warehouse: itself, its districts and customers, and its stock;
+    // ITEM is loaded on every partition.
+    records = warehouses * (1 + tpcc::kDistrictsPerWarehouse *
+                                    (1 + tpcc::kCustomersPerDistrict) +
+                            tpcc::kItemCount) +
+              uint64_t{spec.partitions()} * tpcc::kItemCount;
+    schema = tpcc::Schema();
   } else if (spec.workload == "ycsb" || spec.workload == "adaptive") {
     records = static_cast<uint64_t>(spec.partitions()) *
               spec.options.GetInt("keys_per_partition", 10000);
-    bytes_per_record = 8 * 8;
+    schema = workload::ycsb::Schema();
   } else if (spec.workload == "instacart") {
     records = spec.options.GetInt("num_products", 49688) +
               spec.options.GetInt("num_customers", 200000);
-    bytes_per_record = 64;
+    schema = workload::instacart::Schema();
   } else if (spec.workload == "flight") {
     records = spec.options.GetInt("num_flights", 1000) +
               spec.options.GetInt("num_customers", 100000) +
               spec.options.GetInt("num_states", 50);
-    bytes_per_record = 64;
+    schema = workload::FlightSchema::Specs();
   } else {
     return 0;  // unknown workload: never gate on a guess
   }
-  return copies * records * (bytes_per_record + kPerRecordOverhead);
+  uint64_t buckets_per_store = 0;
+  for (const storage::TableSpec& t : schema) {
+    buckets_per_store += t.buckets_per_partition;
+  }
+  const uint64_t per_copy =
+      records * sizeof(storage::BucketEntry) +
+      spec.partitions() * buckets_per_store * sizeof(storage::Bucket);
+  return uint64_t{spec.replication_degree} * per_copy;
 }
 
 uint64_t CurrentRssBytes() {

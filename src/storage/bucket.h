@@ -3,8 +3,7 @@
 #define CHILLER_STORAGE_BUCKET_H_
 
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "common/types.h"
 #include "storage/lock_word.h"
@@ -12,11 +11,24 @@
 
 namespace chiller::storage {
 
-/// One hash bucket: a small set of records sharing a single lock word.
+/// One stored record: its key, the next entry of its bucket's chain, and
+/// the record itself inline. Entries live in their table's slab (table.h),
+/// so their addresses stay stable across inserts.
+struct BucketEntry {
+  Key key;
+  BucketEntry* next;
+  Record record;
+};
+static_assert(std::is_trivially_copyable_v<BucketEntry> &&
+                  std::is_trivially_destructible_v<BucketEntry>,
+              "slab chunks are freed without running destructors");
+
+/// One hash bucket: a chain of records sharing a single lock word.
 /// "Buckets are locked when any of their records are being accessed, and the
 /// lock remains until the transaction commits or aborts" (Section 6).
-/// Overflow is modeled by letting the entry vector grow (an overflow bucket
-/// chained off the primary, sharing its lock).
+/// Overflow is modeled by the chain: every entry past the first is an
+/// overflow slot chained off the primary, sharing its lock. The owning
+/// Table manages the chain; a Bucket is just the lock word and chain head.
 class Bucket {
  public:
   Bucket() : lock_(LockWord::MakeFree(0)) {}
@@ -33,32 +45,11 @@ class Bucket {
   }
   uint64_t version() const { return LockWord::Version(lock_); }
 
-  /// Returns the record stored under `key`, or nullptr.
-  Record* Find(Key key);
-  const Record* Find(Key key) const;
-
-  /// Inserts a new record; returns false if the key already exists.
-  bool Insert(Key key, Record record);
-
-  /// Removes `key`; returns true if it was present.
-  bool Erase(Key key);
-
-  size_t num_records() const { return entries_.size(); }
-
-  /// Visits every (key, record) in the bucket.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const auto& e : entries_) fn(e.key, e.record);
-  }
-
  private:
-  struct Entry {
-    Key key;
-    Record record;
-  };
+  friend class Table;
 
   uint64_t lock_;
-  std::vector<Entry> entries_;
+  BucketEntry* head_ = nullptr;
 };
 
 }  // namespace chiller::storage
