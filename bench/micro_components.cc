@@ -3,6 +3,8 @@
 // seconds.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/zipf.h"
@@ -16,6 +18,7 @@
 #include "runner/runner.h"
 #include "schedule/scheduler.h"
 #include "sim/event_queue.h"
+#include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 #include "storage/lock_word.h"
 #include "storage/partition_store.h"
@@ -136,6 +139,46 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SimulatorEventThroughput);
+
+/// The sharded simulator's per-window synchronization cost: 8 node domains
+/// (tpcc-fig9's cluster), each with one self-rescheduling event per
+/// lookahead window, and node 0 sending one message per window to node 1
+/// (another shard once shards > 1). The events do no work, so
+/// `ns_per_window` is the window stepping, hand-off and mailbox drain the
+/// simulator adds to every window.
+void BM_ShardedWindowSync(benchmark::State& state) {
+  constexpr uint32_t kNodes = 8;
+  constexpr SimTime kLookahead = 1000;
+  constexpr SimTime kWindowsPerIteration = 256;
+  sim::ShardedSimulator sim(static_cast<uint32_t>(state.range(0)),
+                            kNodes + 1);
+  sim.set_lookahead(kLookahead);
+  uint64_t delivered = 0;
+  std::function<void(sim::DomainId)> tick = [&](sim::DomainId d) {
+    if (d == sim::DomainOfNode(0)) {
+      sim.ScheduleIn(sim::DomainOfNode(1), sim.now() + kLookahead,
+                     [&delivered] { ++delivered; });
+    }
+    sim.ScheduleIn(d, sim.now() + kLookahead, [&tick, d] { tick(d); });
+  };
+  for (NodeId n = 0; n < kNodes; ++n) {
+    const sim::DomainId d = sim::DomainOfNode(n);
+    sim.ScheduleIn(d, 0, [&tick, d] { tick(d); });
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    sim.RunUntil(sim.now() + kWindowsPerIteration * kLookahead);
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  benchmark::DoNotOptimize(delivered);
+  state.counters["ns_per_window"] =
+      elapsed.count() /
+      static_cast<double>(state.iterations() * kWindowsPerIteration);
+  state.SetItemsProcessed(state.iterations() * kWindowsPerIteration);
+}
+BENCHMARK(BM_ShardedWindowSync)->ArgName("shards")->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime();
 
 void BM_ZipfNext(benchmark::State& state) {
   ZipfGenerator zipf(1000000, 0.99);

@@ -184,13 +184,15 @@ std::vector<StatusOr<ScenarioResult>> SweepExecutor::Run(
     }
     return result;
   };
-  // Sharded specs occupy several cores each; shrink the worker pool so
-  // jobs x shards stays at the machine scale the user asked for.
+  // A scenario at shards = S runs on S threads: its sweep worker drives
+  // shard 0 and S - 1 simulator threads run the others. Shrink the worker
+  // pool so jobs x shards stays at the machine scale the user asked for.
   const uint32_t workers = EffectiveJobs(specs);
   if (workers != jobs_) {
     CHILLER_LOG(INFO) << "[sweep] sharded scenarios in the grid: running "
                       << workers << " sweep worker(s) instead of " << jobs_
-                      << " so jobs x shards does not oversubscribe";
+                      << " (a scenario at shards = S runs on S threads) so "
+                         "jobs x shards does not oversubscribe";
   }
   // ParallelMap needs default-constructed slots; StatusOr has no default
   // state, so map into optionals and unwrap after the barrier.

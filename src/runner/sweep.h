@@ -138,9 +138,11 @@ class SweepExecutor {
       const ProgressFn& progress = nullptr) const;
 
   /// Worker threads actually used for `specs`: `jobs`, scaled down when the
-  /// specs themselves run sharded simulators (each scenario at shards = S
-  /// occupies S cores, so jobs x S would oversubscribe the machine). At
-  /// least 1; scheduling-only — per-spec results are identical either way.
+  /// specs themselves run sharded simulators. A scenario at shards = S runs
+  /// on exactly S threads (the sweep worker drives shard 0 itself and
+  /// S - 1 simulator threads run the rest), so jobs x S would oversubscribe
+  /// the machine. At least 1; scheduling-only — per-spec results are
+  /// identical either way.
   uint32_t EffectiveJobs(const std::vector<ScenarioSpec>& specs) const;
 
  private:

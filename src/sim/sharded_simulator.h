@@ -3,7 +3,6 @@
 #ifndef CHILLER_SIM_SHARDED_SIMULATOR_H_
 #define CHILLER_SIM_SHARDED_SIMULATOR_H_
 
-#include <barrier>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -17,16 +16,19 @@
 namespace chiller::sim {
 
 /// Runs the event space partitioned into shards, one event queue and one
-/// clock per shard, on a pool of std::threads. Domains map statically to
-/// shards (domain d > 0 lives on shard (d - 1) % num_shards; the control
-/// domain lives on the coordinating thread). Shards advance in lock-step
-/// *windows* bounded by the lookahead grid: within a window [kL, (k+1)L)
-/// every shard drains its own events concurrently; at the boundary all
-/// shards park on a barrier while the coordinator drains the cross-shard
-/// mailboxes and runs any due control events. Cross-shard messages carry
-/// at least one lookahead of simulated latency, so nothing a shard does in
-/// window k can affect another shard before window k+1 — each shard can
-/// run its window without looking at the others.
+/// clock per shard, on exactly `num_shards` threads: the coordinating
+/// thread (the one calling Run/RunUntil) runs shard 0 itself, and
+/// `num_shards - 1` std::thread workers run shards 1..n-1. Domains map
+/// statically to shards (domain d > 0 lives on shard (d - 1) % num_shards;
+/// the control domain lives on the coordinating thread). Shards advance in
+/// lock-step *windows* bounded by the lookahead grid: within a window
+/// [kL, (k+1)L) every shard drains its own events concurrently; at the
+/// boundary the workers wait — spinning briefly, then parking — while the
+/// coordinator drains the cross-shard mailboxes and runs any due control
+/// events. Cross-shard messages carry at least one lookahead of simulated
+/// latency, so nothing a shard does in window k can affect another shard
+/// before window k+1 — each shard can run its window without looking at
+/// the others.
 ///
 /// Determinism: every event carries the canonical (time, domain, origin,
 /// seq) key (see sim/scheduler.h). Keys are unique and assigned by
@@ -38,8 +40,8 @@ namespace chiller::sim {
 class ShardedSimulator : public Scheduler {
  public:
   /// `num_domains` must cover every DomainId that will ever be scheduled
-  /// (control + one per node). Worker threads are spawned only when
-  /// `num_shards` > 1; with one shard the window body runs inline.
+  /// (control + one per node). Spawns `num_shards - 1` worker threads; with
+  /// one shard there are none and no window ever synchronizes.
   ShardedSimulator(uint32_t num_shards, uint32_t num_domains);
   ~ShardedSimulator() override;
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -72,12 +74,12 @@ class ShardedSimulator : public Scheduler {
     std::function<void()> fn;
   };
 
-  /// Everything one shard's worker thread touches during a window. Padded
-  /// so two workers never share a cache line through this struct.
+  /// Everything the thread running a shard touches during a window. Padded
+  /// so two shards never share a cache line through this struct.
   struct alignas(64) Shard {
     EventQueue queue;
-    /// outbox[d]: events bound for shard d; single-producer (this shard's
-    /// worker), drained by the coordinator at the barrier.
+    /// outbox[d]: events bound for shard d; single-producer (the thread
+    /// running this shard), drained by the coordinator between windows.
     std::vector<std::vector<Pending>> outbox;
     std::vector<Pending> control_outbox;
     uint64_t processed = 0;
@@ -87,12 +89,16 @@ class ShardedSimulator : public Scheduler {
   uint32_t ShardOfDomain(DomainId d) const { return (d - 1) % num_shards_; }
   uint64_t NextSeq(DomainId origin) { return seq_[origin]++; }
 
+  /// The window hand-off between the coordinator and the workers; defined
+  /// in sharded_simulator.cc.
+  class WindowSync;
+
   /// Drains shard `s`'s events with time < window_end and time <= until.
-  /// Runs on the shard's worker thread (or inline when single-sharded).
+  /// Runs on the shard's worker thread (shard 0: the coordinating thread).
   void RunWindow(uint32_t s);
 
   /// Coordinator: moves every outbox entry into its destination queue.
-  /// Runs only while all workers are parked.
+  /// Runs only while all workers wait between windows.
   void DrainMailboxes();
 
   void WorkerLoop(uint32_t s);
@@ -108,14 +114,14 @@ class ShardedSimulator : public Scheduler {
 
   SimTime global_now_ = 0;
   uint64_t control_processed_ = 0;
-  /// Window bounds for the current barrier cycle, written by the
-  /// coordinator before releasing the workers.
+  /// Bounds of the current window, written by the coordinator before it
+  /// opens the window to the workers.
   SimTime window_end_ = 0;
   SimTime window_until_ = 0;
   bool exit_ = false;
 
-  std::unique_ptr<std::barrier<>> sync_;  ///< num_shards_ + 1 participants
-  std::vector<std::thread> threads_;
+  std::unique_ptr<WindowSync> sync_;  ///< null when num_shards_ == 1
+  std::vector<std::thread> threads_;  ///< workers for shards 1..n-1
 };
 
 }  // namespace chiller::sim

@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_report.h"
+#include "common/random.h"
 #include "migrate/adaptive_controller.h"
 #include "migrate/live_migrator.h"
 #include "migrate/migration_governor.h"
@@ -326,6 +328,80 @@ TEST(MigrationPlanTest, IdenticalLayoutDiffsEmpty) {
   const MigrationPlan plan = MigrationPlan::Diff(env->cluster.get(), same, 8);
   EXPECT_EQ(plan.total_moves(), 0u);
   EXPECT_TRUE(plan.units.empty());
+}
+
+TEST(MigrationPlanTest, MoveOrderFollowsSwapWithLastChainsAfterChurn) {
+  // The committed benches' tables hold mostly one-entry chains, so their
+  // bytes cannot tell how erase reorders a chain. Here 4 storage buckets
+  // per partition hold ~15 entries each, Extract/Install churn erases from
+  // the middle of chains, and the plan's per-unit move order must equal
+  // the reference model: one vector per (partition, storage bucket),
+  // appended on install and erased by moving the last entry into the hole.
+  constexpr uint32_t kPartitions = 2;
+  constexpr uint32_t kStorageBuckets = 4;
+  constexpr uint32_t kRelayoutBuckets = 3;
+  constexpr Key kKeys = 120;
+  cc::ClusterConfig cfg;
+  cfg.topology = net::Topology{.num_nodes = kPartitions,
+                               .engines_per_node = 1,
+                               .replication_degree = 1};
+  cfg.schema = {storage::TableSpec{.name = "t", .id = 0, .num_fields = 1,
+                                   .buckets_per_partition = kStorageBuckets}};
+  cc::Cluster cluster(cfg);
+  const storage::Table& table = *cluster.primary(0)->table(0);
+
+  using Chain = std::vector<Key>;
+  std::vector<std::vector<Chain>> model(
+      kPartitions, std::vector<Chain>(kStorageBuckets));
+  std::vector<PartitionId> home(kKeys);
+  HashPartitioner hash(kPartitions);
+  for (Key k = 0; k < kKeys; ++k) {
+    const RecordId rid{0, k};
+    cluster.LoadRecord(rid, storage::Record(1), hash);
+    home[k] = hash.PartitionOf(rid);
+    model[home[k]][table.BucketIndex(k)].push_back(k);
+  }
+  Rng rng(23);
+  for (int step = 0; step < 600; ++step) {
+    const Key k = rng.Uniform(kKeys);
+    const PartitionId to = static_cast<PartitionId>(rng.Uniform(kPartitions));
+    auto rec = cluster.ExtractRecord(RecordId{0, k}, home[k]);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    ASSERT_TRUE(cluster.InstallRecord(RecordId{0, k}, to, *rec).ok());
+    Chain& from_chain = model[home[k]][table.BucketIndex(k)];
+    auto it = std::find(from_chain.begin(), from_chain.end(), k);
+    ASSERT_NE(it, from_chain.end());
+    *it = from_chain.back();
+    from_chain.pop_back();
+    model[to][table.BucketIndex(k)].push_back(k);
+    home[k] = to;
+  }
+
+  // Target: every record one partition over, so every record moves.
+  LookupPartitioner target(std::make_unique<HashPartitioner>(kPartitions));
+  for (Key k = 0; k < kKeys; ++k) {
+    target.Assign(RecordId{0, k}, (home[k] + 1) % kPartitions);
+  }
+  using Move = std::tuple<Key, PartitionId, PartitionId>;  // key, from, to
+  std::vector<std::vector<Move>> want(kRelayoutBuckets);
+  for (PartitionId p = 0; p < kPartitions; ++p) {
+    for (const Chain& chain : model[p]) {
+      for (Key k : chain) {
+        want[RelayoutBucketOf(RecordId{0, k}, kRelayoutBuckets)].emplace_back(
+            k, p, (p + 1) % kPartitions);
+      }
+    }
+  }
+  const MigrationPlan plan =
+      MigrationPlan::Diff(&cluster, target, kRelayoutBuckets);
+  ASSERT_EQ(plan.total_moves(), static_cast<size_t>(kKeys));
+  for (const migrate::MoveUnit& unit : plan.units) {
+    std::vector<Move> got;
+    for (const migrate::RecordMove& mv : unit.moves) {
+      got.emplace_back(mv.rid.key, mv.from, mv.to);
+    }
+    EXPECT_EQ(got, want[unit.bucket]) << "relayout bucket " << unit.bucket;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/cpu_resource.h"
@@ -244,12 +245,41 @@ TEST(ShardedSimulatorTest, MatchesSingleThreadedAtAnyShardCount) {
   Simulator reference;
   reference.set_lookahead(1000);
   const auto want = RunRingProgram(&reference, kNodes);
-  for (uint32_t shards : {1u, 2u, 3u, 4u}) {
+  // 5 and 6 shards exceed the 4 data domains: the empty shards still join
+  // every window.
+  for (uint32_t shards : {1u, 2u, 3u, 4u, 5u, 6u}) {
     ShardedSimulator sim(shards, kNodes + 1);
     sim.set_lookahead(1000);
     const auto got = RunRingProgram(&sim, kNodes);
     EXPECT_EQ(got, want) << "shards=" << shards;
   }
+}
+
+TEST(ShardedSimulatorTest, DestroyWithoutRunJoinsTheWorkers) {
+  // The workers wait for a first window that never opens; destruction must
+  // release and join them (a hang or std::terminate fails the test).
+  for (uint32_t shards : {2u, 3u, 8u}) {
+    ShardedSimulator sim(shards, 3);
+    sim.set_lookahead(1000);
+    sim.ScheduleIn(DomainOfNode(1), 5, [] {});
+  }
+}
+
+TEST(ShardedSimulatorTest, ShardZeroRunsOnTheCallingThread) {
+  // Domain 1 (node 0) maps to shard 0, which the coordinating thread runs
+  // itself; node 1 maps to shard 1, a worker thread.
+  ShardedSimulator sim(2, 3);
+  sim.set_lookahead(1000);
+  std::thread::id node0;
+  std::thread::id node1;
+  sim.ScheduleIn(DomainOfNode(0), 10,
+                 [&] { node0 = std::this_thread::get_id(); });
+  sim.ScheduleIn(DomainOfNode(1), 10,
+                 [&] { node1 = std::this_thread::get_id(); });
+  sim.Run();
+  EXPECT_EQ(node0, std::this_thread::get_id());
+  EXPECT_NE(node1, std::this_thread::get_id());
+  EXPECT_NE(node1, std::thread::id());
 }
 
 TEST(ShardedSimulatorTest, BarrierEdgeEventBelongsToTheNextWindow) {
